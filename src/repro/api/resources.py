@@ -42,7 +42,7 @@ from repro import sanitize
 from repro.classical.expr import free_variables
 from repro.codes.registry import family_of, family_siblings
 from repro.smt.interface import SMTCheck, SolveSession
-from repro.smt.parallel import IncrementalSplitSession
+from repro.smt.parallel import IncrementalSplitSession, merge_warm_file
 from repro.smt.solver import SolveControl, SolverInterrupted
 from repro.store import ClauseStore
 
@@ -433,24 +433,32 @@ class CodeContext:
         learnt = self.warm_cache.load(self._warm_fingerprint)
         if learnt:
             self.warm_hits += 1
-            self.warm_absorbed = self.session.absorb_learnt(learnt)
+            self.warm_absorbed = self.session.absorb_learnt(learnt, stored=True)
         else:
             self.warm_misses += 1
 
     @sanitize.entry_guarded
     def save_warm(self) -> None:
+        """Write back the learnt clauses the cache does not hold yet.
+
+        Clauses loaded from the cache, and clauses an earlier flush
+        committed, are marked stored in the solver and skipped, so a warm
+        rerun that learns nothing writes no clause rows.
+        """
         if self.warm_cache is None or not self._warm_attempted:
             return
+        fingerprint = self._warm_fingerprint
         store_meta = getattr(self.warm_cache, "store_meta", None)
         if store_meta is None:
-            self.warm_cache.store(
-                self._warm_fingerprint, self.session.learnt_clauses(max_var=self._warm_vars)
+            store = self.warm_cache.store
+            self.session.flush_learnt(
+                lambda delta: store(fingerprint, [clause for clause, _ in delta]),
+                max_var=self._warm_vars,
             )
             return
         # Clause store: persist LBDs for eviction ranking, and record the
         # named-literal projections of every learnt clause under the code's
         # family so sibling fingerprints can pick them up as candidates.
-        meta = self.session.learnt_clauses_meta(max_var=self._warm_vars)
         family = family_of(self.key) if isinstance(self.key, str) else None
         named: list[tuple[tuple[tuple[str, bool], ...], int]] = []
         if family:
@@ -475,7 +483,10 @@ class CodeContext:
                     continue
                 seen.add(key)
                 named.append((tuple(projected), lbd))
-        store_meta(self._warm_fingerprint, meta, family=family or "", named=named)
+        self.session.flush_learnt(
+            lambda delta: store_meta(fingerprint, delta, family=family or "", named=named),
+            max_var=self._warm_vars,
+        )
 
 
 class SessionCache:
@@ -509,19 +520,11 @@ class SessionCache:
         self.hits += 1
         return [[int(lit) for lit in clause] for clause in learnt]
 
-    def store(self, fingerprint: str, learnt: list[list[int]]) -> None:
-        payload = {"fingerprint": fingerprint, "learnt": learnt}
-        path = self._path(fingerprint)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+    def store(self, fingerprint: str, learnt: list[list[int]]) -> bool:
+        """Merge ``learnt`` into the entry for ``fingerprint``; returns
+        whether the entry was written.  Writers hand over only the clauses
+        the entry lacks, so the entry accumulates instead of being replaced."""
+        return merge_warm_file(self.directory, fingerprint, learnt)
 
 
 def _close_split_sessions(sessions: "OrderedDict") -> None:

@@ -254,17 +254,32 @@ class SolveSession:
             return []
         return self._solver.learnt_clauses_meta(max_var)
 
+    def flush_learnt(self, write, max_var: int | None = None) -> int:
+        """Hand ``write`` the learnt clauses its store does not hold yet.
+
+        See :meth:`SATSolver.flush_learnt`: ``write(delta)`` gets
+        ``[(literals, lbd), ...]`` and returns whether it committed, and only
+        committed clauses are skipped by later flushes.  Before the first
+        check nothing is learnt and ``write`` is not called.  Returns the
+        number of clauses committed.
+        """
+        if self._solver is None:
+            return 0
+        return self._solver.flush_learnt(write, max_var)
+
     @sanitize.entry_guarded
-    def absorb_learnt(self, clauses) -> int:
+    def absorb_learnt(self, clauses, stored: bool = False) -> int:
         """Re-attach serialized learnt clauses; returns how many were kept.
 
         Only sound when the session's CNF matches the one the clauses were
         learnt against — callers gate this on :meth:`fingerprint`.
+        ``stored`` says the clauses were loaded from the store this session
+        flushes to, so :meth:`flush_learnt` need not write them back.
         """
         solver = self._sync_solver()
         absorbed = 0
         for clause in clauses:
-            if solver.absorb_learnt(clause):
+            if solver.absorb_learnt(clause, stored):
                 absorbed += 1
         return absorbed
 

@@ -179,7 +179,7 @@ class IncrementalSplitSession:
                 self._local_fingerprint = self._local.fingerprint()
                 learnt = _load_warm(warm_dir, self._local_fingerprint)
                 if learnt:
-                    self.warm_absorbed = self._local.absorb_learnt(learnt)
+                    self.warm_absorbed = self._local.absorb_learnt(learnt, stored=True)
         # Cumulative statistics aggregated across every subtask and worker.
         self.total_conflicts = 0
         self.total_decisions = 0
@@ -497,34 +497,35 @@ class IncrementalSplitSession:
         return stats
 
     def save_warm(self) -> int:
-        """Serialize learnt clauses into ``warm_dir``; returns clauses stored.
+        """Write the learnt clauses ``warm_dir`` lacks; returns clauses stored.
 
-        On the pool path the save tasks fan out across the pool and each
-        worker that picks one up merges its base-encoding learnt clauses
-        into the shared cache entry (all workers share one CNF fingerprint,
-        so the entries union safely).  Pool scheduling gives no per-worker
-        affinity, so this is best-effort: a busy worker's clauses may be
-        skipped this round — acceptable for a cache that only ever
-        accelerates.  The sequential path stores from the local session.  A
-        no-op without a warm directory, and after a sat-terminated pool (the
-        worker sessions died with it).
+        Every session writes back only its unstored base-encoding learnt
+        clauses (:meth:`SolveSession.flush_learnt`).  On the pool path the
+        save tasks fan out across the pool and each worker that picks one
+        up merges its delta into the shared cache entry (all workers share
+        one CNF fingerprint, so the entries union safely).  Pool scheduling
+        gives no per-worker affinity, so this is best-effort: a busy
+        worker's clauses stay pending this round — acceptable for a cache
+        that only ever accelerates.  The sequential path stores from the
+        local session.  A no-op without a warm directory, and after a
+        sat-terminated pool (the worker sessions died with it).
         """
         if self.warm_dir is None:
             return 0
         if self._local is not None and isinstance(self._local, SolveSession):
             if not self._local_base_vars:
                 return 0
-            learnt = self._local.learnt_clauses(max_var=self._local_base_vars)
-            _store_warm(self.warm_dir, self._local_fingerprint, learnt)
-            return len(learnt)
+            return _flush_to_warm(
+                self._local, self.warm_dir, self._local_fingerprint, self._local_base_vars
+            )
         if self._pool is None:
             return 0
-        # Over-subscribe the save tasks to raise coverage, then count each
-        # responding worker once (a worker may execute several tasks).
-        stored = self._pool.map(
+        # Over-subscribe the save tasks to raise coverage; a worker that runs
+        # several of them writes its delta once and then nothing, so the
+        # per-task counts add up without double counting.
+        return sum(self._pool.map(
             _save_warm_in_worker, range(self.num_workers * 2), chunksize=1
-        )
-        return sum(dict(stored).values())
+        ))
 
     def close(self) -> None:
         if self._pool is not None:
@@ -612,22 +613,32 @@ def _load_warm(directory: str, fingerprint: str) -> list[list[int]] | None:
     return [[int(lit) for lit in clause] for clause in learnt]
 
 
-def _store_warm(directory: str, fingerprint: str, learnt: list[list[int]]) -> None:
-    """Merge ``learnt`` into the cache entry for ``fingerprint`` (atomic).
-
-    Merging (rather than overwriting) lets every pool worker contribute its
-    own learnt clauses to the one shared entry; concurrent writers race
-    benignly — the cache is best-effort and each write is internally
-    consistent via the tmp-file rename.
-    """
-    import json
+def _store_warm(directory: str, fingerprint: str, learnt: list[list[int]]) -> bool:
+    """Merge ``learnt`` into the cache entry for ``fingerprint``; returns
+    whether the write committed (the sqlite store or a JSON file)."""
     import os
 
     if os.path.isfile(os.path.join(directory, "clauses.sqlite")):
         from repro.store import merge_clauses
 
-        merge_clauses(directory, fingerprint, learnt)
-        return
+        return merge_clauses(directory, fingerprint, learnt)
+    return merge_warm_file(directory, fingerprint, learnt)
+
+
+def merge_warm_file(directory: str, fingerprint: str, learnt: list[list[int]]) -> bool:
+    """Merge ``learnt`` into the JSON entry for ``fingerprint`` (atomic).
+
+    Merging (rather than overwriting) lets every pool worker, and every
+    delta flush, add its learnt clauses to the one shared entry; concurrent
+    writers race benignly — the cache is best-effort and each write is
+    internally consistent via the tmp-file rename.  Returns whether the
+    entry was written (trivially so for an empty ``learnt``).
+    """
+    import json
+    import os
+
+    if not learnt:
+        return True
     existing = _load_warm(directory, fingerprint) or []
     seen = {tuple(clause) for clause in existing}
     merged = list(existing)
@@ -644,7 +655,12 @@ def _store_warm(directory: str, fingerprint: str, learnt: list[list[int]]) -> No
             json.dump({"fingerprint": fingerprint, "learnt": merged}, handle)
         os.replace(tmp, path)
     except OSError:
-        pass
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        return False
+    return True
 
 
 # Per-worker session, built once by the pool initializer: encoding the shared
@@ -683,23 +699,26 @@ def _worker_init(formula: BoolExpr, warm_dir: str | None = None, cancel_event=No
         _WORKER_FINGERPRINT = _WORKER_SESSION.fingerprint()
         learnt = _load_warm(warm_dir, _WORKER_FINGERPRINT)
         if learnt:
-            _WORKER_WARM_ABSORBED = _WORKER_SESSION.absorb_learnt(learnt)
+            _WORKER_WARM_ABSORBED = _WORKER_SESSION.absorb_learnt(learnt, stored=True)
 
 
-def _save_warm_in_worker(_index: int) -> tuple[int, int]:
-    """Merge this worker's base-encoding learnt clauses into the warm cache.
+def _flush_to_warm(session: SolveSession, directory: str, fingerprint: str, max_var: int) -> int:
+    """Write ``session``'s unstored learnt clauses over variables
+    ``<= max_var`` to the warm cache; returns how many were committed."""
+    return session.flush_learnt(
+        lambda delta: _store_warm(directory, fingerprint, [clause for clause, _ in delta]),
+        max_var=max_var,
+    )
 
-    Returns ``(pid, count)`` so the parent can de-duplicate when pool
-    scheduling hands several save tasks to the same worker.
-    """
-    import os
 
+def _save_warm_in_worker(_index: int) -> int:
+    """Merge this worker's unstored base-encoding learnt clauses into the
+    warm cache; returns how many were committed."""
     if _WORKER_WARM_DIR is None or not _WORKER_FINGERPRINT:
-        return os.getpid(), 0
-    learnt = _WORKER_SESSION.learnt_clauses(max_var=_WORKER_BASE_VARS)
-    if learnt:
-        _store_warm(_WORKER_WARM_DIR, _WORKER_FINGERPRINT, learnt)
-    return os.getpid(), len(learnt)
+        return 0
+    return _flush_to_warm(
+        _WORKER_SESSION, _WORKER_WARM_DIR, _WORKER_FINGERPRINT, _WORKER_BASE_VARS
+    )
 
 
 def _solve_chunk_in_worker(payload) -> tuple[str, dict | str | None, dict]:

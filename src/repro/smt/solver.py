@@ -31,7 +31,9 @@ attached; when the learnt population outgrows its budget, the worst half
 (highest LBD, breaking ties on length) is deleted, keeping "glue" clauses
 (LBD <= 2) and clauses currently locked as reasons.  Clauses restored from a
 warm cache enter through :meth:`SATSolver.absorb_learnt`, so they stay
-deletable like any other learnt clause.
+deletable like any other learnt clause.  Each clause also carries a "stored"
+mark, so :meth:`SATSolver.flush_learnt` hands a clause store only the learnt
+clauses it does not hold yet.
 
 Hot-path engineering (MiniSat / glucose playbook):
 
@@ -202,6 +204,11 @@ class SATSolver:
         self.max_learnt = max_learnt
         self.clause_is_learnt: list[bool] = []
         self.clause_lbd: list[int] = []
+        # Whether a clause store already holds the clause as it stands here:
+        # set by a committed flush_learnt, or by absorb_learnt for a stored
+        # clause that enters unchanged; a clause whose literals
+        # erase_satisfied strips counts as new again.
+        self.clause_stored: list[bool] = []
         self.num_learnt = 0
         self.learnt_deleted = 0
         self.reductions = 0
@@ -280,6 +287,7 @@ class SATSolver:
         clauses = self.clauses
         is_learnt = self.clause_is_learnt
         lbds = self.clause_lbd
+        stored = self.clause_stored
         long_watchers = self._watchers
         binary_watchers = self._binary_watchers
         for clause in cnf.clauses:
@@ -291,6 +299,7 @@ class SATSolver:
             clauses.append(clause)
             is_learnt.append(False)
             lbds.append(0)
+            stored.append(False)
             first, second = clause[0], clause[1]
             watchers = binary_watchers if len(clause) == 2 else long_watchers
             watcher_list = watchers[(first << 1) + 1 if first > 0 else -(first << 1)]
@@ -363,21 +372,40 @@ class SATSolver:
         if index is not None:
             self.num_problem_clauses += 1
 
-    def absorb_learnt(self, clause) -> bool:
+    def absorb_learnt(self, clause, stored: bool = False) -> bool:
         """Attach a clause known to be a consequence of the formula.
 
         This is the warm-cache entry point: learnt clauses serialized from an
         earlier session over the *same* formula may be re-attached here.  They
         enter the database as learnt clauses (scored by their length, since
         the original LBD is meaningless against a fresh trail), so the
-        periodic reduction can still delete them.  Returns whether the clause
-        survived root-level simplification and was stored.
+        periodic reduction can still delete them.  ``stored`` says the clause
+        came from the store :meth:`flush_learnt` writes to; it is marked
+        stored only if root-level simplification left it unchanged, since a
+        shortened clause is one the store does not hold.  Returns whether the
+        clause survived root-level simplification and was attached.
         """
         simplified = self._simplify_against_root(clause)
         if simplified is None:
             return False
-        index = self._attach_clause(simplified, learnt=True, lbd=len(simplified))
+        index = self._attach_clause(
+            simplified, learnt=True, lbd=len(simplified),
+            stored=stored and len(simplified) == len(clause),
+        )
         return index is not None
+
+    def _learnt_indices(self, max_var: int | None, pending_only: bool = False) -> list[int]:
+        """Indices of the learnt clauses over variables ``<= max_var`` (all
+        variables when None); ``pending_only`` skips clauses marked stored."""
+        is_learnt = self.clause_is_learnt
+        stored = self.clause_stored
+        return [
+            index
+            for index, clause in enumerate(self.clauses)
+            if is_learnt[index]
+            and not (pending_only and stored[index])
+            and (max_var is None or all(abs(lit) <= max_var for lit in clause))
+        ]
 
     def learnt_clauses(self, max_var: int | None = None) -> list[list[int]]:
         """The current learnt clauses, optionally restricted to ``var <= max_var``.
@@ -387,14 +415,7 @@ class SATSolver:
         will allocate identically (the base encoding) round-trip; clauses over
         later auxiliary variables are filtered out.
         """
-        result = []
-        for index, clause in enumerate(self.clauses):
-            if not self.clause_is_learnt[index]:
-                continue
-            if max_var is not None and any(abs(lit) > max_var for lit in clause):
-                continue
-            result.append(list(clause))
-        return result
+        return [list(self.clauses[index]) for index in self._learnt_indices(max_var)]
 
     def learnt_clauses_meta(self, max_var: int | None = None) -> list[tuple[list[int], int]]:
         """Like :meth:`learnt_clauses`, but paired with each clause's LBD.
@@ -403,14 +424,26 @@ class SATSolver:
         size-bounded eviction can drop the least valuable clauses (worst LBD,
         then oldest) instead of evicting blindly.
         """
-        result = []
-        for index, clause in enumerate(self.clauses):
-            if not self.clause_is_learnt[index]:
-                continue
-            if max_var is not None and any(abs(lit) > max_var for lit in clause):
-                continue
-            result.append((list(clause), self.clause_lbd[index]))
-        return result
+        return [
+            (list(self.clauses[index]), self.clause_lbd[index])
+            for index in self._learnt_indices(max_var)
+        ]
+
+    def flush_learnt(self, write, max_var: int | None = None) -> int:
+        """Hand ``write`` the learnt clauses not yet marked stored.
+
+        ``write`` receives ``[(literals, lbd), ...]`` (possibly empty) and
+        returns whether it durably committed them; only then are they marked
+        stored, so a failed write leaves them pending for the next flush.
+        ``max_var`` restricts the export as in :meth:`learnt_clauses`.
+        Returns the number of clauses committed.
+        """
+        indices = self._learnt_indices(max_var, pending_only=True)
+        if not write([(list(self.clauses[index]), self.clause_lbd[index]) for index in indices]):
+            return 0
+        for index in indices:
+            self.clause_stored[index] = True
+        return len(indices)
 
     def _simplify_against_root(self, clause) -> list[int] | None:
         """Root-level simplification shared by the clause entry points.
@@ -460,7 +493,9 @@ class SATSolver:
         watchers.append(clause_index)
         watchers.append(blocker)
 
-    def _attach_clause(self, clause: list[int], learnt: bool, lbd: int = 0) -> int | None:
+    def _attach_clause(
+        self, clause: list[int], learnt: bool, lbd: int = 0, stored: bool = False
+    ) -> int | None:
         if not clause:
             self._contradiction = True
             return None
@@ -474,6 +509,7 @@ class SATSolver:
         self.clauses.append(clause)
         self.clause_is_learnt.append(learnt)
         self.clause_lbd.append(lbd if learnt else 0)
+        self.clause_stored.append(stored)
         if learnt:
             self.num_learnt += 1
         binary = len(clause) == 2
@@ -525,6 +561,7 @@ class SATSolver:
         clauses: list[list[int]] = []
         is_learnt: list[bool] = []
         lbds: list[int] = []
+        stored: list[bool] = []
         for index, clause in enumerate(self.clauses):
             if index in drop:
                 continue
@@ -532,9 +569,11 @@ class SATSolver:
             clauses.append(clause)
             is_learnt.append(self.clause_is_learnt[index])
             lbds.append(self.clause_lbd[index])
+            stored.append(self.clause_stored[index])
         self.clauses = clauses
         self.clause_is_learnt = is_learnt
         self.clause_lbd = lbds
+        self.clause_stored = stored
         self._rebuild_watchers()
         for var in range(1, self.num_vars + 1):
             reason_index = self.reason[var]
@@ -566,6 +605,7 @@ class SATSolver:
         clauses: list[list[int]] = []
         is_learnt: list[bool] = []
         lbds: list[int] = []
+        stored: list[bool] = []
         for index, clause in enumerate(self.clauses):
             if any(self._value(lit) == _TRUE for lit in clause):
                 erased += 1
@@ -592,9 +632,12 @@ class SATSolver:
             clauses.append(stripped)
             is_learnt.append(self.clause_is_learnt[index])
             lbds.append(self.clause_lbd[index])
+            # The store holds the clause as it was, not its stripped form.
+            stored.append(self.clause_stored[index] and len(stripped) == len(clause))
         self.clauses = clauses
         self.clause_is_learnt = is_learnt
         self.clause_lbd = lbds
+        self.clause_stored = stored
         self._rebuild_watchers()
         # Every assigned variable is at level 0 here, and level-0 assignments
         # never need their reasons again (conflict analysis skips them), so

@@ -17,9 +17,19 @@ Design (ROADMAP item 4 — durable shared verification state):
   own encoding before attachment (``CodeContext.absorb_from_store``), so
   foreign clauses are verified, never trusted.
 
+* **Delta write-back.**  Sessions send only the learnt clauses the store
+  does not hold yet: the solver marks a clause stored once a write of it
+  commits (``SATSolver.flush_learnt``), and a clause loaded from here and
+  absorbed unchanged starts marked.  :meth:`ClauseStore.store_meta` reports
+  whether its transaction committed, so a failed or short-circuited write
+  leaves its clauses pending for the next flush.  ``stored`` counts the
+  clause rows actually sent.
+
 * **Eviction.**  The store is size-bounded; when an upsert pushes it over
   budget the worst clauses go first — highest LBD, then least recently
-  used — mirroring the in-solver reduction policy.
+  used — mirroring the in-solver reduction policy.  ``last_used`` is set by
+  a clause's first write and refreshed by loads; later flushes do not resend
+  (and so do not touch) a clause the store already holds.
 
 * **Concurrency.**  WAL journaling plus a busy timeout makes the store safe
   to share between threads, engine lanes, pool workers and service replicas
@@ -321,9 +331,9 @@ class ClauseStore:
         self.hits += 1
         return clauses
 
-    def store(self, fingerprint: str, learnt) -> None:
+    def store(self, fingerprint: str, learnt) -> bool:
         """SessionCache-compatible write: LBD defaults to the clause length."""
-        self.store_meta(fingerprint, [(clause, len(clause)) for clause in learnt])
+        return self.store_meta(fingerprint, [(clause, len(clause)) for clause in learnt])
 
     def store_meta(
         self,
@@ -331,18 +341,21 @@ class ClauseStore:
         clauses,
         family: str = "",
         named=(),
-    ) -> None:
+    ) -> bool:
         """Merge learnt clauses (with LBD) and optional family candidates.
 
         ``clauses`` is an iterable of ``(literal_list, lbd)``; ``named`` an
         iterable of ``(((name, value), ...), lbd)`` projections onto named
         literals, indexed under ``family`` for sibling transfer.  Upserts
         keep the best (lowest) LBD seen for a clause; the whole merge is one
-        transaction, so concurrent writers interleave atomically.
+        transaction, so concurrent writers interleave atomically.  Returns
+        whether the transaction committed (trivially so with nothing to
+        write): a broken store, an open circuit breaker or a failed
+        transaction return False, and the caller keeps the clauses pending.
         """
         conn = self._connect()
         if conn is None:
-            return
+            return False
         now = time.time()
         clause_rows = []
         for clause, lbd in clauses:
@@ -363,7 +376,7 @@ class ClauseStore:
                     (family, fingerprint, text, _row_checksum(family, fingerprint, text), int(lbd), now)
                 )
         if not clause_rows and not named_rows:
-            return
+            return True
         try:
             self._check_fault("write", fingerprint)
             with conn:
@@ -383,11 +396,13 @@ class ClauseStore:
                         "lbd = MIN(lbd, excluded.lbd), updated = excluded.updated",
                         named_rows,
                     )
-            self._storage_ok()
-            self.stored += len(clause_rows)
-            self._evict(conn)
         except sqlite3.Error:
             self._storage_failure()
+            return False
+        self._storage_ok()
+        self.stored += len(clause_rows)
+        self._evict(conn)
+        return True
 
     def _evict(self, conn: sqlite3.Connection) -> None:
         """Trim both clause tables to budget: worst LBD first, then oldest."""
@@ -591,6 +606,7 @@ def load_clauses(directory: str, fingerprint: str) -> list[list[int]] | None:
     return _worker_store(directory).load(fingerprint)
 
 
-def merge_clauses(directory: str, fingerprint: str, clauses) -> None:
-    """Merge a worker's learnt clauses back into the shared store."""
-    _worker_store(directory).store(fingerprint, clauses)
+def merge_clauses(directory: str, fingerprint: str, clauses) -> bool:
+    """Merge a worker's learnt clauses back into the shared store; returns
+    whether the write committed."""
+    return _worker_store(directory).store(fingerprint, clauses)

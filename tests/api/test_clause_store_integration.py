@@ -10,9 +10,11 @@ speed.
 
 import json
 import sqlite3
+import threading
 
 import pytest
 
+from repro import faults
 from repro.api import (
     CorrectionTask,
     DistanceTask,
@@ -22,8 +24,9 @@ from repro.api import (
 from repro.api.engine import _reuse_sort_key, _validate_checkpoint
 from repro.api.events import DistanceProbe, JobCompleted, SolverStats, validate_stream
 from repro.codes.registry import CODE_REGISTRY
+from repro.smt.solver import SolveControl, SolverInterrupted
 from repro.store import ClauseStore
-from repro.store.clause_store import _row_checksum
+from repro.store.clause_store import _canonical_clause, _row_checksum
 
 
 def _store_engine(directory):
@@ -79,6 +82,99 @@ class TestStoreWarmStart:
         engine.resources.save_warm()
         assert (tmp_path / "clauses.sqlite").exists()
         assert not list(tmp_path.glob("*.json"))
+
+
+def _stored_rows(directory, fingerprint):
+    with sqlite3.connect(_db_path(directory)) as conn:
+        rows = conn.execute(
+            "SELECT clause FROM clauses WHERE fingerprint = ?", (fingerprint,)
+        ).fetchall()
+    return {text for (text,) in rows}
+
+
+def _as_rows(clauses):
+    """The store's row text for each clause."""
+    return {
+        json.dumps(_canonical_clause(clause), separators=(",", ":")) for clause in clauses
+    }
+
+
+class TestDeltaFlush:
+    """Flushes write back only the learnt clauses the store lacks."""
+
+    def test_warm_rerun_that_learns_nothing_writes_no_clause_rows(self, tmp_path):
+        task = CorrectionTask(code="steane")
+        cold = _store_engine(tmp_path)
+        cold.run(task)
+        cold.resources.save_warm()
+        written = cold.resources.clause_store.stored
+        assert written > 0
+        cold.resources.save_warm()  # nothing learnt since the last flush
+        assert cold.resources.clause_store.stored == written
+        cold.close()
+
+        warm = _store_engine(tmp_path)
+        result = warm.run(task)
+        assert result.conflicts == 0
+        warm.close()
+        assert warm.resources.clause_store.stored == 0
+        assert warm.resources.clause_store.clause_count() == written
+
+    def test_failed_write_leaves_the_delta_pending(self, tmp_path):
+        clock = [0.0]
+        faults.install({"faults": [{"point": "store.write", "times": 1}]})
+        try:
+            store = ClauseStore(
+                str(tmp_path), breaker_threshold=1, breaker_cooldown=30.0,
+                clock=lambda: clock[0],
+            )
+        finally:
+            faults.disarm()
+        engine = Engine()
+        engine.resources.enable_clause_store(store)
+        engine.run(CorrectionTask(code="steane"))
+        context = engine.resources.context_for("steane")
+        pending = _as_rows(context.session.learnt_clauses(max_var=context._warm_vars))
+        assert pending
+
+        engine.resources.save_warm()  # the injected fault fails the write
+        assert store.storage_errors == 1 and store.stored == 0
+        engine.resources.save_warm()  # the open breaker short-circuits it
+        assert store.breaker_short_circuited >= 1 and store.stored == 0
+        assert not _stored_rows(tmp_path, context._warm_fingerprint)
+
+        clock[0] += 31.0  # cooldown over: the half-open probe commits
+        engine.resources.save_warm()
+        assert store.stored == len(pending)
+        assert _stored_rows(tmp_path, context._warm_fingerprint) == pending
+
+    def test_cancelled_walk_keeps_the_clauses_of_finished_probes(self, tmp_path):
+        engine = _store_engine(tmp_path)
+        cancel = threading.Event()
+        flushed = []
+
+        def emit(event):
+            if isinstance(event, DistanceProbe):
+                # Each probe flushes before it reports: everything the walk
+                # has learnt so far must already be durable.
+                context = engine.resources.context_for("surface-5")
+                flushed.append((
+                    context._warm_fingerprint,
+                    _as_rows(context.session.learnt_clauses(max_var=context._warm_vars)),
+                ))
+                if len(flushed) == 2:
+                    cancel.set()
+
+        with pytest.raises(SolverInterrupted):
+            engine._execute(
+                DistanceTask(code="surface-5"), engine.coerce(None),
+                control=SolveControl(cancelled=cancel.is_set), emit=emit,
+            )
+        # Read before close(): the walk's own flushes are all there is.
+        fingerprint, learnt = flushed[-1]
+        assert learnt
+        assert learnt <= _stored_rows(tmp_path, fingerprint)
+        engine.close()
 
 
 class TestStoreNeverChangesVerdicts:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import CorrectionTask, Job
 from repro.service import VerificationService
+from tests.service.test_service import PreSolveGate
 
 TERMINALS = ("JobCompleted", "JobCancelled", "JobFailed")
 
@@ -112,7 +113,9 @@ class RaceHarness:
 
 @pytest.mark.parametrize("order", ["cancel-then-drain", "drain-then-cancel"])
 def test_drain_and_delete_race_reports_cancelled(order):
-    with RaceHarness() as harness:
+    with RaceHarness() as harness, PreSolveGate(
+        harness.service.engine, "surface-5"
+    ) as gate:
         client = harness.client(api_key="race", retries=3, backoff=0.01)
         job = client.submit({"kind": "distance", "code": "surface-5"})
 
@@ -123,12 +126,16 @@ def test_drain_and_delete_race_reports_cancelled(order):
         events = [next(stream)]
         assert events[0]["event"] == "JobSubmitted"
 
+        # Both requests land while the job is running: the gate parks it
+        # before its solve until they are in.
+        gate.wait_held()
         if order == "cancel-then-drain":
             client.cancel(job["id"])
             harness.request_stop()
         else:
             harness.request_stop()
             client.cancel(job["id"])
+        gate.release()
 
         events.extend(stream)
         terminals = [e for e in events if e["event"] in TERMINALS]

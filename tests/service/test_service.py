@@ -70,6 +70,48 @@ class ServiceHarness:
         return ServiceClient("127.0.0.1", self.port, **kwargs)
 
 
+class PreSolveGate:
+    """Parks one code's jobs at the lane's pre-solve point until released.
+
+    A lane marks its job running and then calls ``engine._execute``; the
+    gate wraps that call on one engine, so a test acts on a job that is
+    provably running (cancels it, drains around it, counts it in flight)
+    instead of assuming its solve is still slow.  Jobs on other codes pass
+    straight through.  Leaving the ``with`` block releases every parked job
+    and restores the engine.
+    """
+
+    def __init__(self, engine, code: str, timeout: float = 60.0):
+        self.engine = engine
+        self.code = code
+        self.timeout = timeout
+        self._held = threading.Event()
+        self._released = threading.Event()
+
+    def __enter__(self) -> "PreSolveGate":
+        original = self.engine._execute
+
+        def gated(task, *args, **kwargs):
+            if getattr(task, "code", None) == self.code:
+                self._held.set()
+                self._released.wait(self.timeout)
+            return original(task, *args, **kwargs)
+
+        self.engine._execute = gated
+        return self
+
+    def wait_held(self) -> None:
+        """Block until a gated job is running and parked before its solve."""
+        assert self._held.wait(self.timeout), f"no {self.code} job reached its solve"
+
+    def release(self) -> None:
+        self._released.set()
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+        del self.engine._execute
+
+
 @pytest.fixture(scope="module")
 def harness():
     with ServiceHarness() as running:
@@ -105,9 +147,15 @@ class TestLifecycle:
 
     def test_deadline_expiry_cancels_and_session_stays_reusable(self, harness):
         client = harness.client(api_key="deadline")
-        job = client.submit(
-            {"kind": "distance", "code": "surface-5"}, deadline=0.01
-        )
+        with PreSolveGate(harness.service.engine, "surface-5"):
+            job = client.submit(
+                {"kind": "distance", "code": "surface-5"}, deadline=0.01
+            )
+            # The deadline counts from the submit.  Whether the lane has
+            # parked the job or not yet picked it up, it cannot finish before
+            # the deadline has passed, so it stops on the deadline however
+            # fast its solve would be.
+            time.sleep(0.05)
         for _ in range(200):
             final = client.job(job["id"])
             if final["status"] != "pending" and final["status"] != "running":
@@ -123,8 +171,10 @@ class TestLifecycle:
 
     def test_cancel_running_job_is_202_then_409(self, harness):
         client = harness.client(api_key="cancel")
-        job = client.submit({"kind": "distance", "code": "surface-5"})
-        accepted = client.cancel(job["id"])
+        with PreSolveGate(harness.service.engine, "surface-5") as gate:
+            job = client.submit({"kind": "distance", "code": "surface-5"})
+            gate.wait_held()
+            accepted = client.cancel(job["id"])
         assert accepted["status"] == "cancelling"
         # await the terminal event, then a second DELETE is a stable 409
         events = list(client.events(job["id"]))
@@ -225,7 +275,10 @@ class TestValidation:
 class TestAdmissionOverHttp:
     def test_quota_exceeded_is_429_with_retry_after(self):
         admission = AdmissionController(max_pending=64, max_inflight_per_key=1)
-        with ServiceHarness(admission=admission) as harness:
+        with ServiceHarness(admission=admission) as harness, PreSolveGate(
+            harness.service.engine, "surface-5"
+        ):
+            # The gate keeps the distance job in flight until it is cancelled.
             client = harness.client(api_key="tenant-a")
             job = client.submit({"kind": "distance", "code": "surface-5"})
             with pytest.raises(ServiceError) as excinfo:
@@ -237,10 +290,7 @@ class TestAdmissionOverHttp:
             other = harness.client(api_key="tenant-b")
             ok = other.submit({"kind": "correction", "code": "steane"})
             assert ok["status"] == "pending"
-            try:
-                client.cancel(job["id"])
-            except ServiceError:
-                pass  # lost the race: the job already finished
+            client.cancel(job["id"])
 
     def test_rate_limited_is_429(self):
         admission = AdmissionController(rate=0.001, burst=1.0)
@@ -254,7 +304,10 @@ class TestAdmissionOverHttp:
 
     def test_capacity_backpressure_is_429(self):
         admission = AdmissionController(max_pending=1)
-        with ServiceHarness(admission=admission) as harness:
+        with ServiceHarness(admission=admission) as harness, PreSolveGate(
+            harness.service.engine, "surface-5"
+        ):
+            # The gate keeps the distance job pending until it is cancelled.
             slow = harness.client(api_key="a")
             job = slow.submit({"kind": "distance", "code": "surface-5"})
             with pytest.raises(ServiceError) as excinfo:
@@ -263,10 +316,7 @@ class TestAdmissionOverHttp:
                 )
             assert excinfo.value.status == 429
             assert "capacity" in excinfo.value.payload["error"]
-            try:
-                slow.cancel(job["id"])
-            except ServiceError:
-                pass  # lost the race: the job already finished
+            slow.cancel(job["id"])
 
 
 class TestConcurrentClients:

@@ -208,6 +208,91 @@ class TestLearntClauseManagement:
             assert all(abs(lit) <= 2 for lit in clause)
 
 
+class TestStoredMarks:
+    """``flush_learnt`` hands a store only the learnt clauses it lacks."""
+
+    def _steane_solver(self, **kwargs):
+        from repro.codes import steane_code
+        from repro.smt.encoder import FormulaEncoder
+        from repro.verifier.encodings import accurate_correction_formula
+
+        encoder = FormulaEncoder()
+        encoder.assert_formula(accurate_correction_formula(steane_code(), max_errors=2))
+        return encoder.cnf, SATSolver(encoder.cnf, **kwargs)
+
+    @staticmethod
+    def _flush(solver, commit=True, max_var=None):
+        """Flush through a writer that records the delta; returns
+        ``(committed count, delta)``."""
+        batches = []
+
+        def write(delta):
+            batches.append(delta)
+            return commit
+
+        count = solver.flush_learnt(write, max_var=max_var)
+        (delta,) = batches
+        return count, delta
+
+    def test_committed_flush_is_not_repeated_and_failed_one_is(self):
+        _, solver = self._steane_solver()
+        solver.solve()
+        learnt = solver.learnt_clauses_meta()
+        assert learnt
+        # A failed write keeps everything pending for the next flush.
+        assert self._flush(solver, commit=False) == (0, learnt)
+        assert self._flush(solver) == (len(learnt), learnt)
+        assert self._flush(solver) == (0, [])
+
+    def test_max_var_clauses_stay_pending(self):
+        solver = SATSolver(build_cnf(3, [[1, 2], [-1, 3], [-2, -3], [1, -3], [-1, -2, 3]]))
+        solver.solve([3])
+        solver.solve([-3])
+        _, low = self._flush(solver, max_var=2)
+        assert all(abs(lit) <= 2 for clause, _ in low for lit in clause)
+        _, rest = self._flush(solver)
+        assert sorted(map(str, low + rest)) == sorted(map(str, solver.learnt_clauses_meta()))
+
+    def test_absorbed_stored_clauses_are_marked_only_when_unchanged(self):
+        cnf, first = self._steane_solver()
+        first.solve()
+        exported = first.learnt_clauses()
+        second = SATSolver(cnf)
+        for clause in exported:
+            second.absorb_learnt(clause, stored=True)
+        # A stored clause that root simplification shortens is one the store
+        # lacks: the encoding's units make its extra literal false at level 0.
+        root = second.trail[0]
+        second.absorb_learnt([-root] + exported[0], stored=True)
+        # A clause from anywhere else (a sibling, a re-proof) is always new.
+        second.absorb_learnt(list(reversed(exported[1])))
+        _, delta = self._flush(second)
+        assert [clause for clause, _ in delta] == [exported[0], list(reversed(exported[1]))]
+
+    def test_marks_survive_reduction_and_stripping_clears_them(self):
+        _, solver = self._steane_solver()
+        solver.solve()
+        self._flush(solver)
+        deleted = solver.learnt_deleted
+        solver._reduce_learnt()
+        assert solver.learnt_deleted > deleted
+        assert len(solver.clause_stored) == len(solver.clauses)
+        assert all(
+            stored
+            for learnt, stored in zip(solver.clause_is_learnt, solver.clause_stored)
+            if learnt
+        )
+        # Fix a literal of a stored learnt clause false at the root:
+        # erase_satisfied strips it, and the stripped clauses count as new.
+        literal = solver.clauses[solver.clause_is_learnt.index(True)][0]
+        solver.add_clause([-literal])
+        solver.erase_satisfied()
+        assert len(solver.clause_stored) == len(solver.clauses)
+        _, delta = self._flush(solver)
+        assert delta
+        assert all(literal not in clause for clause, _ in delta)
+
+
 class TestCrossTaskGuardSharing:
     def test_correction_and_detection_share_one_session(self):
         """The resource-layer pattern at the smt level: both task formulas
